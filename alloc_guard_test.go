@@ -43,8 +43,11 @@ func TestAllocGuardIndexBuild(t *testing.T) {
 	res := fastbcc.BCC(g, &fastbcc.Options{Seed: 7})
 	fastbcc.NewIndex(g, res) // one-time lazy topology precompute
 	avg := testing.AllocsPerRun(5, func() { fastbcc.NewIndex(g, res) })
-	if avg > 3000 {
-		t.Fatalf("index build: %.1f allocs/op, want <= 3000", avg)
+	// ~260 allocs/op at GOMAXPROCS 2-8 (~285 under -race); the bound
+	// leaves ~40% headroom, and a graph connectivity pass inside the
+	// build (~570 allocs/op) exceeds it.
+	if avg > 400 {
+		t.Fatalf("index build: %.1f allocs/op, want <= 400", avg)
 	}
 }
 

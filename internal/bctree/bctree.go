@@ -13,12 +13,17 @@
 //     edge per bridge) answers edge-removal questions: how many bridges
 //     separate u from v, and whether they are 2-edge-connected.
 //
-// Construction is parallel and reuses the pipeline's own machinery: the
-// forests are rooted with the Euler tour technique (internal/etour), per
-// tree-node depths come from a parallel prefix sum over the tour's ±1
-// depth deltas, and lowest-common-ancestor queries reduce to a range
-// minimum over the tour-ordered depth array (internal/rmq) — the same
-// structure the Tagging step uses for low/high. Total work is O(n + m);
+// Construction is parallel and reads every connectivity answer off the
+// decomposition instead of rerunning graph connectivity: the block-cut
+// forest's edges come from the label/head representation, the
+// 2-edge-connected components are the spanning forest split at its bridge
+// tree edges, and the bridges are the tree edges joining two of them. Each
+// forest's component representatives come from one union-find pass over
+// its own edges. The forests are rooted with the Euler tour technique
+// (internal/etour), per tree-node depths come from a parallel prefix sum
+// over the tour's ±1 depth deltas, and lowest-common-ancestor queries
+// reduce to a range minimum over the tour-ordered depth array
+// (internal/rmq). Total work is O(n) plus the bridge multiplicity checks;
 // the index retains O(n) words and never aliases scratch memory.
 //
 // All query methods are safe for concurrent use (the index is immutable
@@ -31,13 +36,13 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/conn"
 	"repro/internal/core"
 	"repro/internal/etour"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/prim"
 	"repro/internal/rmq"
+	"repro/internal/uf"
 )
 
 // Index answers connectivity queries over one graph's decomposition.
@@ -96,8 +101,7 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	// ---- Block-cut forest: root, tour depths, LCA -----------------------
 	nodes := t.NumNodes()
 	forest := t.ForestEdges()
-	cc := conn.Connectivity(t.AsGraph(), conn.Options{Seed: 0xbc7, Exec: e})
-	rt := etour.RootIn(e, nodes, forest, cc.Comp, nil)
+	rt := etour.RootIn(e, nodes, forest, forestComp(e, nodes, forest), nil)
 	x.bcPar, x.bcFirst, x.bcLast = rt.Parent, rt.First, rt.Last
 	x.bcTourDepth = tourDepths(e, rt)
 	x.bcDepth = nodeDepths(e, nodes, rt.First, x.bcTourDepth)
@@ -127,25 +131,25 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	})
 
 	// ---- Bridge forest: 2ECC labels, root, tour depths, LCA --------------
+	// The bridges are the tree edges joining two 2ECCs; bridges[i] is the
+	// child endpoint of the i-th.
 	x.ecc = r.TwoECCIn(e, g)
 	numEcc := int(prim.MaxInt32In(e, x.ecc, -1)) + 1
-	bridges := r.Bridges(g)
-	x.numBridges = len(bridges)
-	brEdges := make([]graph.Edge, len(bridges))
-	e.For(len(bridges), func(i int) {
-		b := bridges[i]
-		brEdges[i] = graph.Edge{U: x.ecc[b.U], W: x.ecc[b.W]}
+	bridges := prim.PackIndicesIn(e, n, func(v int) bool {
+		p := r.Parent[v]
+		return p != -1 && x.ecc[p] != x.ecc[v]
 	})
+	x.numBridges = len(bridges)
 	// Contracting each 2ECC to a node and keeping one edge per bridge
 	// yields a forest (a cycle through k >= 2 components would make each
 	// participating bridge non-bridging).
-	bg, err := graph.FromEdgesIn(e, numEcc, brEdges, nil)
-	if err != nil {
-		panic("bctree: bridge-tree edges out of range: " + err.Error())
-	}
-	bcc := conn.Connectivity(bg, conn.Options{Seed: 0xb21d, Exec: e})
-	x.brComp = bcc.Comp
-	rt2 := etour.RootIn(e, numEcc, brEdges, bcc.Comp, nil)
+	brEdges := make([]graph.Edge, len(bridges))
+	e.For(len(bridges), func(i int) {
+		v := bridges[i]
+		brEdges[i] = graph.Edge{U: x.ecc[r.Parent[v]], W: x.ecc[v]}
+	})
+	x.brComp = forestComp(e, numEcc, brEdges)
+	rt2 := etour.RootIn(e, numEcc, brEdges, x.brComp, nil)
 	x.brPar, x.brFirst = rt2.Parent, rt2.First
 	x.brTourDepth = tourDepths(e, rt2)
 	x.brDepth = nodeDepths(e, numEcc, rt2.First, x.brTourDepth)
@@ -157,15 +161,29 @@ func NewIn(e *parallel.Exec, g *graph.Graph, r *core.Result) *Index {
 	e.For(len(bridges), func(i int) {
 		// Each bridge is one tree edge; distinct bridges have distinct
 		// child nodes, so the writes never collide.
-		b := bridges[i]
-		cu, cw := x.ecc[b.U], x.ecc[b.W]
-		if x.brPar[cu] == cw {
-			x.brEdgeU[cu], x.brEdgeW[cu] = b.U, b.W
-		} else {
-			x.brEdgeU[cw], x.brEdgeW[cw] = b.U, b.W
+		w := bridges[i]
+		p := r.Parent[w]
+		cp, cw := x.ecc[p], x.ecc[w]
+		child := cw
+		if x.brPar[cp] == cw {
+			child = cp
 		}
+		x.brEdgeU[child], x.brEdgeW[child] = min(p, w), max(p, w)
 	})
 	return x
+}
+
+// forestComp labels every node of the forest given by edges with its
+// tree's representative (comp[rep] == rep, as etour.RootIn requires): one
+// parallel union-find pass over the forest's own edges.
+func forestComp(e *parallel.Exec, nodes int, edges []graph.Edge) []int32 {
+	comp := make([]int32, nodes)
+	e.Iota(comp, 0)
+	u := uf.Wrap(comp)
+	e.For(len(edges), func(i int) { u.Union(edges[i].U, edges[i].W) })
+	// As in core.TwoECCIn: the atomic root store is a path compression.
+	e.For(nodes, func(v int) { atomic.StoreInt32(&comp[v], u.Find(int32(v))) })
+	return comp
 }
 
 // tourDepths turns an Euler tour into per-position depths: a first

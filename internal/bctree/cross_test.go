@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -260,9 +261,104 @@ func checkPair(t *testing.T, x *Index, na *naiveRef, u, v int32, rng *rand.Rand)
 	}
 }
 
+// numCuts counts the articulation points: vertices whose removal
+// separates two of their own neighbors.
+func (na *naiveRef) numCuts() int {
+	cnt := 0
+	for x := int32(0); x < int32(na.n); x++ {
+		first := int32(-1)
+		for _, a := range na.adj[x] {
+			if a.to == x {
+				continue
+			}
+			if first == -1 {
+				first = a.to
+			} else if !na.reach(first, a.to, x, -1) {
+				cnt++
+				break
+			}
+		}
+	}
+	return cnt
+}
+
+// numBridges counts the edge occurrences whose removal disconnects their
+// own endpoints.
+func (na *naiveRef) numBridges() int {
+	cnt := 0
+	for i, e := range na.edges {
+		if e.U != e.W && !na.reach(e.U, e.W, -1, int32(i)) {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// checkIndex builds the index over res, checks its aggregate counts, and
+// cross-checks every query on random vertex pairs against the naive
+// reference. It returns the index.
+func checkIndex(t *testing.T, g *graph.Graph, res *core.Result, na *naiveRef, rng *rand.Rand) *Index {
+	t.Helper()
+	x := New(g, res)
+	if x.NumBlocks() != res.NumBCC {
+		t.Fatalf("NumBlocks %d != NumBCC %d", x.NumBlocks(), res.NumBCC)
+	}
+	if got, want := x.NumCutVertices(), na.numCuts(); got != want {
+		t.Fatalf("NumCutVertices %d, want %d", got, want)
+	}
+	if got, want := x.NumBridges(), na.numBridges(); got != want {
+		t.Fatalf("NumBridges %d, want %d", got, want)
+	}
+	n := na.n
+	pairs := 30
+	if n < 8 {
+		pairs = n * n
+	}
+	for p := 0; p < pairs; p++ {
+		u := int32(rng.Intn(n))
+		v := int32(rng.Intn(n))
+		if p == 0 {
+			v = u // always exercise the diagonal
+		}
+		checkPair(t, x, na, u, v, rng)
+	}
+	return x
+}
+
+// checkCollapse exercises the collapse class of an edge insertion: it
+// picks a random connected pair {u, v} in different blocks, merges the
+// blocks on their block-cut path with core.MergeBlockPath, and checks the
+// index over the merged decomposition against the naive reference over
+// edges + {u, v}. As in the serving path, the index is built on g, which
+// lacks the new edge. Graphs with no such pair are skipped.
+func checkCollapse(t *testing.T, g *graph.Graph, res *core.Result, x *Index, edges []graph.Edge, na *naiveRef, rng *rand.Rand) {
+	t.Helper()
+	n := na.n
+	for try := 0; try < 4*n; try++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u == v || !na.connected(u, v) || na.biconnected(u, v) {
+			continue
+		}
+		labels := x.PathBlockLabels(u, v)
+		if labels == nil {
+			t.Fatalf("PathBlockLabels(%d,%d) = nil for a cross-block pair", u, v)
+		}
+		merged := core.MergeBlockPath(nil, res, labels)
+		if merged == nil {
+			t.Fatalf("MergeBlockPath(%v) = nil for the path of (%d,%d)", labels, u, v)
+		}
+		grown := append(append([]graph.Edge{}, edges...), graph.Edge{U: u, W: v})
+		checkIndex(t, g, merged, newNaive(n, grown), rng)
+		return
+	}
+}
+
 // TestCrossRandom is the randomized cross-test: every Index query answer
 // is checked against a naive BFS/recompute reference on random graphs
-// including forests, multigraphs, and disconnected inputs. Run it under
+// including forests, multigraphs, and disconnected inputs. The index is
+// built from core.BCC and from every registered engine — each grows its
+// own spanning forest, which the index derives its connectivity from —
+// and from a collapse-class merge of each engine's result. Run it under
 // -race with GOMAXPROCS=4 (the CI race shard does) to interrogate the
 // parallel build.
 func TestCrossRandom(t *testing.T) {
@@ -276,32 +372,17 @@ func TestCrossRandom(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial) * 7919))
 			n, edges := randomInstance(rng, trial)
 			g := graph.MustFromEdges(n, edges)
-			res := core.BCC(g, core.Options{Seed: uint64(trial)})
-			x := New(g, res)
 			na := newNaive(n, edges)
-
-			// Aggregate invariants.
-			if x.NumBlocks() != res.NumBCC {
-				t.Fatalf("NumBlocks %d != NumBCC %d", x.NumBlocks(), res.NumBCC)
-			}
-			if got, want := x.NumCutVertices(), len(res.ArticulationPoints()); got != want {
-				t.Fatalf("NumCutVertices %d != %d", got, want)
-			}
-			if got, want := x.NumBridges(), len(res.Bridges(g)); got != want {
-				t.Fatalf("NumBridges %d != %d", got, want)
-			}
-
-			pairs := 30
-			if n < 8 {
-				pairs = n * n
-			}
-			for p := 0; p < pairs; p++ {
-				u := int32(rng.Intn(n))
-				v := int32(rng.Intn(n))
-				if p == 0 {
-					v = u // always exercise the diagonal
-				}
-				checkPair(t, x, na, u, v, rng)
+			checkIndex(t, g, core.BCC(g, core.Options{Seed: uint64(trial)}), na, rng)
+			for _, alg := range engine.All() {
+				t.Run(alg.Name(), func(t *testing.T) {
+					res, err := alg.Run(g, engine.RunOptions{Seed: uint64(trial)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					x := checkIndex(t, g, res, na, rng)
+					checkCollapse(t, g, res, x, edges, na, rng)
+				})
 			}
 		})
 	}

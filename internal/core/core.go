@@ -121,9 +121,9 @@ type Result struct {
 	// labelCount[l] is the number of non-root vertices with label l.
 	// core.BCC fills it during the fused Last-CC finalization (one pass
 	// with the Head assignment); otherwise it is computed lazily, guarded
-	// by sizesOnce, on first use (IsBridge, Bridges, TwoECC): the per-call
-	// O(n) label scan made those queries quadratic in callers that loop
-	// over edges.
+	// by sizesOnce, on first use. The bridge test behind IsBridge,
+	// Bridges, and TwoECC reads it once per tree edge, so it must be an
+	// O(1) lookup rather than a per-call O(n) label scan.
 	sizesOnce  sync.Once
 	labelCount []int32
 	// artPoints and bct cache ArticulationPoints and BlockCutTree, which
@@ -435,53 +435,19 @@ func (r *Result) precomputeTopology(e *parallel.Exec) {
 // IsBridge reports whether the edge {u,w} of g is a bridge: its block has
 // exactly two vertices and the edge is not duplicated in the multigraph.
 func (r *Result) IsBridge(g *graph.Graph, u, w int32) bool {
-	if u == w {
-		return false
-	}
-	// Orient so that w is the child.
 	if r.Parent[w] != u {
-		u, w = w, u
-		if r.Parent[w] != u {
-			return false // non-tree edges are never bridges
-		}
+		u, w = w, u // orient so that w is the child
 	}
-	// Bridge iff w's skeleton component is the singleton {w}, its head is
-	// u, and the block is exactly {u,w} — i.e. no other vertex shares w's
-	// label — and the edge has multiplicity 1.
-	if r.LabelSizes()[r.Label[w]] != 1 {
-		return false
-	}
-	mult := 0
-	for _, x := range g.Neighbors(u) {
-		if x == w {
-			mult++
-		}
-	}
-	return mult == 1
+	return r.Parent[w] == u && r.treeBridge(g, w) // non-tree edges are never bridges
 }
 
 // Bridges returns all bridge edges of g.
 func (r *Result) Bridges(g *graph.Graph) []graph.Edge {
-	n := len(r.Label)
-	count := r.LabelSizes()
 	var out []graph.Edge
-	for v := 0; v < n; v++ {
-		p := r.Parent[v]
-		if p == -1 || count[r.Label[v]] != 1 {
-			continue
-		}
-		mult := 0
-		for _, x := range g.Neighbors(int32(v)) {
-			if x == p {
-				mult++
-			}
-		}
-		if mult == 1 {
-			e := graph.Edge{U: p, W: int32(v)}
-			if e.U > e.W {
-				e.U, e.W = e.W, e.U
-			}
-			out = append(out, e)
+	for v := range r.Label {
+		if r.treeBridge(g, int32(v)) {
+			p := r.Parent[v]
+			out = append(out, graph.Edge{U: min(p, int32(v)), W: max(p, int32(v))})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
